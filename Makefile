@@ -14,23 +14,26 @@ vet:
 race:
 	$(GO) test -race -timeout 25m ./...
 
-# verify is the CI gate: compile everything, lint, and run the full test
-# suite under the race detector. The explicit -timeout covers the
-# whole-zoo accuracy sweeps (goldens, fusion cross-checks, dtype
+# verify is the CI gate: compile everything, lint (also for arm64, which
+# builds the pure-Go GEMM microkernel instead of the amd64 assembly), and
+# run the full test suite under the race detector. The explicit -timeout
+# covers the whole-zoo accuracy sweeps (goldens, fusion cross-checks, dtype
 # budgets), which exceed Go's default 10m per-package budget under the
 # race scheduler when packages contend for CPU.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	$(GO) test -race -timeout 25m ./...
 
 # bench runs the runtime + ops benchmarks (session hot path, pooled
 # kernels, per-kernel conv comparisons, dispatch overhead), archives them
 # as BENCH_runtime.json, and fails if the steady-state serial session run
-# regresses above zero allocations per op.
+# regresses above zero allocations per op, or a SqueezeNet@64 session run
+# above 110.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 20x ./internal/runtime ./internal/ops | tee bench.out
-	$(GO) run ./cmd/bench2json -in bench.out -out BENCH_runtime.json -maxallocs 'BenchmarkSessionRun=0'
+	$(GO) run ./cmd/bench2json -in bench.out -out BENCH_runtime.json -maxallocs 'BenchmarkSessionRun=0,BenchmarkZooSessionRun=110'
 
 # bench-regress guards the serving hot path's wall clock: it re-runs the
 # gated benchmarks (best of -count 3) and compares against the committed

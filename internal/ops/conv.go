@@ -127,35 +127,79 @@ func convEpilogue(v float32, rd []float32, oi int, a Activation, postAct bool) f
 	return v
 }
 
-// parallelFor runs jobs [0,n) across host cores. Workers claim jobs off an
-// atomic counter, so setup cost is O(workers), not O(n) channel sends.
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
+// parallelTask is a parallel loop body. parallelDo takes one instead of a
+// func so that a caller can pass a pooled object and dispatch without
+// allocating a closure.
+type parallelTask interface{ runJob(i int) }
+
+// funcTask adapts a func to parallelTask; a func value is pointer-shaped,
+// so the conversion to the interface does not allocate.
+type funcTask func(i int)
+
+func (f funcTask) runJob(i int) { f(i) }
+
+// parallelFor runs f over jobs [0,n) across host cores (see parallelDo).
+func parallelFor(n int, f func(i int)) { parallelDo(n, funcTask(f)) }
+
+// parallelLoop is the shared state of one parallelDo call, pooled so the
+// dispatch itself allocates nothing.
+type parallelLoop struct {
+	next atomic.Int64
+	n    int
+	task parallelTask
+	wg   sync.WaitGroup
+}
+
+var parallelLoops = sync.Pool{New: func() any { return new(parallelLoop) }}
+
+// parallelHandoff passes loops to the helper goroutines. A go statement
+// with arguments allocates a closure, so each helper is started without
+// one and receives its loop here. Every send follows the go statement of
+// the helper that will receive it, so a full buffer only delays a send;
+// the capacity lets the caller start its own share of jobs without
+// waiting for the helpers to be scheduled.
+var parallelHandoff = make(chan *parallelLoop, 64)
+
+// parallelDo runs t.runJob over jobs [0,n) across host cores. The caller
+// and up to NumCPU-1 helper goroutines claim jobs off an atomic counter,
+// so setup cost is O(workers), not O(n) channel sends, and parallelDo
+// returns once every job has finished.
+func parallelDo(n int, t parallelTask) {
+	workers := min(runtime.NumCPU(), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			f(i)
+			t.runJob(i)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
+	l := parallelLoops.Get().(*parallelLoop)
+	l.n, l.task = n, t
+	l.next.Store(0)
+	l.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go parallelHelper()
+		parallelHandoff <- l
 	}
-	wg.Wait()
+	l.drain()
+	l.wg.Wait()
+	l.task = nil
+	parallelLoops.Put(l)
+}
+
+func parallelHelper() {
+	l := <-parallelHandoff
+	l.drain()
+	l.wg.Done()
+}
+
+func (l *parallelLoop) drain() {
+	for {
+		i := int(l.next.Add(1)) - 1
+		if i >= l.n {
+			return
+		}
+		l.task.runJob(i)
+	}
 }
 
 // Dense computes out[n,o] = sum_i in[n,i]*W[o,i] + bias[o].

@@ -1,6 +1,10 @@
 package ops
 
-import "unigpu/internal/tensor"
+import (
+	"sync"
+
+	"unigpu/internal/tensor"
+)
 
 // im2col-GEMM convolution backend.
 //
@@ -81,53 +85,81 @@ func PackConvWeightsGEMM(weight *tensor.Tensor, w ConvWorkload) []float32 {
 	return packed
 }
 
-// im2colPacked fills bp with the packed-B im2col panels for one
-// (batch, group) input plane. Out-of-bounds taps and tail columns are
-// written as exact zeros.
-func im2colPacked(bp []float32, ind []float32, w ConvWorkload, n, grp int) {
-	g := max(1, w.Groups)
-	cinPerG := w.CIn / g
-	oh, ow := w.OutH(), w.OutW()
-	nCols := oh * ow
-	k := cinPerG * w.KH * w.KW
-	nPanels := (nCols + gemmNR - 1) / gemmNR
-	ciBase := grp * cinPerG
+// gemmConv is the state of one conv2DGEMMInto call. Its methods are the
+// bodies of the call's two parallel loops (im2col panel packing and the
+// macro-tile GEMM), so parallelDo runs them without a per-call closure;
+// instances are pooled, which keeps a steady-state conv garbage-free.
+type gemmConv struct {
+	w                          ConvWorkload
+	od, ind, pa, pb, bd, rd    []float32
+	n, grp, coutPerG, cinPerG  int
+	k, nCols, outBase, nBlocks int
+	postAct                    bool
+	packing                    bool // runJob packs im2col panels, not GEMM tiles
+}
 
-	parallelFor(nPanels, func(p int) {
-		pBase := p * k * gemmNR
-		for j := 0; j < gemmNR; j++ {
-			col := p*gemmNR + j
-			if col >= nCols {
-				for kk := 0; kk < k; kk++ {
-					bp[pBase+kk*gemmNR+j] = 0
-				}
-				continue
+var gemmConvPool = sync.Pool{New: func() any { return new(gemmConv) }}
+
+func (c *gemmConv) runJob(job int) {
+	if c.packing {
+		c.im2colPanel(job)
+	} else {
+		c.macroTile(job)
+	}
+}
+
+// im2colPanel fills packed-B panel p of the current (batch, group) input
+// plane. Out-of-bounds taps and tail columns are written as exact zeros.
+func (c *gemmConv) im2colPanel(p int) {
+	w := &c.w
+	bp, k, ow := c.pb, c.k, w.OutW()
+	pBase := p * k * gemmNR
+	for j := 0; j < gemmNR; j++ {
+		col := p*gemmNR + j
+		if col >= c.nCols {
+			for kk := 0; kk < k; kk++ {
+				bp[pBase+kk*gemmNR+j] = 0
 			}
-			y := col / ow
-			x := col % ow
-			iy0 := y*w.StrideH - w.PadH
-			ix0 := x*w.StrideW - w.PadW
-			dst := pBase + j
-			for ci := 0; ci < cinPerG; ci++ {
-				iPlane := (n*w.CIn+ciBase+ci)*w.H*w.W + ix0
-				for ky := 0; ky < w.KH; ky++ {
-					iy := iy0 + ky
-					rowOK := iy >= 0 && iy < w.H
-					iRow := iPlane + iy*w.W
-					for kx := 0; kx < w.KW; kx++ {
-						var v float32
-						if rowOK {
-							if ix := ix0 + kx; ix >= 0 && ix < w.W {
-								v = ind[iRow+kx]
-							}
+			continue
+		}
+		y := col / ow
+		x := col % ow
+		iy0 := y*w.StrideH - w.PadH
+		ix0 := x*w.StrideW - w.PadW
+		dst := pBase + j
+		for ci := 0; ci < c.cinPerG; ci++ {
+			iPlane := (c.n*w.CIn+c.grp*c.cinPerG+ci)*w.H*w.W + ix0
+			for ky := 0; ky < w.KH; ky++ {
+				iy := iy0 + ky
+				rowOK := iy >= 0 && iy < w.H
+				iRow := iPlane + iy*w.W
+				for kx := 0; kx < w.KW; kx++ {
+					var v float32
+					if rowOK {
+						if ix := ix0 + kx; ix >= 0 && ix < w.W {
+							v = c.ind[iRow+kx]
 						}
-						bp[dst] = v
-						dst += gemmNR
 					}
+					bp[dst] = v
+					dst += gemmNR
 				}
 			}
 		}
-	})
+	}
+}
+
+// macroTile computes one gemmMC x gemmNC output block of the current
+// (batch, group) plane.
+func (c *gemmConv) macroTile(job int) {
+	mb := job / c.nBlocks
+	nb := job % c.nBlocks
+	i0, i1 := mb*gemmMC, min((mb+1)*gemmMC, c.coutPerG)
+	j0, j1 := nb*gemmNC, min((nb+1)*gemmNC, c.nCols)
+	for i := i0; i < i1; i += gemmMR {
+		for j := j0; j < j1; j += gemmNR {
+			c.micro(i, j)
+		}
+	}
 }
 
 // conv2DGEMMInto runs the im2col-GEMM convolution with the full fused
@@ -139,78 +171,85 @@ func conv2DGEMMInto(out, in, bias *tensor.Tensor, rd []float32, w ConvWorkload, 
 	cinPerG := w.CIn / g
 	coutPerG := w.COut / g
 	k := cinPerG * w.KH * w.KW
-	oh, ow := w.OutH(), w.OutW()
-	nCols := oh * ow
+	nCols := w.OutH() * w.OutW()
 	mPad := roundUp(coutPerG, gemmMR)
 
 	if need := GEMMScratchElems(w); len(scratch) < need {
 		scratch = make([]float32, need)
 	}
-	ind := in.Data()
-	od := out.Data()
-	var bd []float32
-	if bias != nil {
-		bd = bias.Data()
+	c := gemmConvPool.Get().(*gemmConv)
+	*c = gemmConv{
+		w: w, od: out.Data(), ind: in.Data(), pb: scratch, rd: rd,
+		coutPerG: coutPerG, cinPerG: cinPerG, k: k, nCols: nCols,
+		nBlocks: (nCols + gemmNC - 1) / gemmNC, postAct: postAct,
 	}
-
+	if bias != nil {
+		c.bd = bias.Data()
+	}
 	mBlocks := (coutPerG + gemmMC - 1) / gemmMC
-	nBlocks := (nCols + gemmNC - 1) / gemmNC
+	nPanels := (nCols + gemmNR - 1) / gemmNR
 
 	for n := 0; n < w.N; n++ {
 		for grp := 0; grp < g; grp++ {
-			im2colPacked(scratch, ind, w, n, grp)
-			pa := packedA[grp*mPad*k : (grp+1)*mPad*k]
-			outBase := (n*w.COut + grp*coutPerG) * nCols
-			parallelFor(mBlocks*nBlocks, func(job int) {
-				mb := job / nBlocks
-				nb := job % nBlocks
-				i0, i1 := mb*gemmMC, min((mb+1)*gemmMC, coutPerG)
-				j0, j1 := nb*gemmNC, min((nb+1)*gemmNC, nCols)
-				for i := i0; i < i1; i += gemmMR {
-					for j := j0; j < j1; j += gemmNR {
-						gemmMicro(od, pa, scratch, bd, rd, w, grp, coutPerG, k, nCols, outBase, i, j, postAct)
-					}
-				}
-			})
+			c.n, c.grp = n, grp
+			c.pa = packedA[grp*mPad*k : (grp+1)*mPad*k]
+			c.outBase = (n*w.COut + grp*coutPerG) * nCols
+			c.packing = true
+			parallelDo(nPanels, c)
+			c.packing = false
+			parallelDo(mBlocks*c.nBlocks, c)
 		}
+	}
+	*c = gemmConv{} // drop the operand references before pooling
+	gemmConvPool.Put(c)
+}
+
+// micro computes one gemmMR x gemmNR output tile: accumulators initialized
+// to the row's bias, accumulated over the full K extent in ascending order
+// by gemmKernel4x4, with the epilogue (residual + activation) applied at
+// write-out.
+func (c *gemmConv) micro(i0, j0 int) {
+	var acc [gemmMR * gemmNR]float32
+	if c.bd != nil {
+		coBase := c.grp*c.coutPerG + i0
+		for r := 0; r < gemmMR; r++ {
+			b := c.bd[coBase] // tail rows repeat row 0's bias; never written out
+			if i0+r < c.coutPerG {
+				b = c.bd[coBase+r]
+			}
+			acc[r*gemmNR], acc[r*gemmNR+1], acc[r*gemmNR+2], acc[r*gemmNR+3] = b, b, b, b
+		}
+	}
+
+	k := c.k
+	// Exact-length panels: a short panel panics here instead of the
+	// kernel reading past its end.
+	ap := c.pa[(i0/gemmMR)*k*gemmMR:][:k*gemmMR]
+	bp := c.pb[(j0/gemmNR)*k*gemmNR:][:k*gemmNR]
+	gemmKernel4x4(&acc, &ap[0], &bp[0], k)
+
+	mv := min(c.coutPerG-i0, gemmMR) // valid rows in this tile
+	nv := c.nCols - j0               // valid cols in this tile
+	act := c.w.FusedActivation
+	for r := 0; r < mv; r++ {
+		writeGemmRow(c.od, c.rd, c.outBase+(i0+r)*c.nCols+j0, nv, act, c.postAct,
+			acc[r*gemmNR], acc[r*gemmNR+1], acc[r*gemmNR+2], acc[r*gemmNR+3])
 	}
 }
 
-// gemmMicro computes one gemmMR x gemmNR output tile: 16 register
-// accumulators initialized to the row's bias, accumulated over the full K
-// extent in ascending order, with the epilogue (residual + activation)
-// applied at write-out.
-func gemmMicro(od, pa, pb, bd, rd []float32, w ConvWorkload, grp, coutPerG, k, nCols, outBase, i0, j0 int, postAct bool) {
-	var c00, c01, c02, c03 float32
-	var c10, c11, c12, c13 float32
-	var c20, c21, c22, c23 float32
-	var c30, c31, c32, c33 float32
-	if bd != nil {
-		coBase := grp*coutPerG + i0
-		b0 := bd[coBase]
-		b1, b2, b3 := b0, b0, b0
-		if i0+1 < coutPerG {
-			b1 = bd[coBase+1]
-		}
-		if i0+2 < coutPerG {
-			b2 = bd[coBase+2]
-		}
-		if i0+3 < coutPerG {
-			b3 = bd[coBase+3]
-		}
-		c00, c01, c02, c03 = b0, b0, b0, b0
-		c10, c11, c12, c13 = b1, b1, b1, b1
-		c20, c21, c22, c23 = b2, b2, b2, b2
-		c30, c31, c32, c33 = b3, b3, b3, b3
-	}
-
-	ap := pa[(i0/gemmMR)*k*gemmMR:]
-	bp := pb[(j0/gemmNR)*k*gemmNR:]
-	for kk := 0; kk < k; kk++ {
-		a := ap[kk*gemmMR : kk*gemmMR+gemmMR]
-		b := bp[kk*gemmNR : kk*gemmNR+gemmNR]
+// gemmKernel4x4Go is the portable microkernel loop: c[i*4+j] +=
+// a[kk*4+i] * b[kk*4+j] for kk ascending, one scalar accumulator per
+// element. Architectures without an assembly gemmKernel4x4 run it, and it
+// is the reference the assembly kernel must match bit for bit.
+func gemmKernel4x4Go(c *[gemmMR * gemmNR]float32, a, b []float32) {
+	c00, c01, c02, c03 := c[0], c[1], c[2], c[3]
+	c10, c11, c12, c13 := c[4], c[5], c[6], c[7]
+	c20, c21, c22, c23 := c[8], c[9], c[10], c[11]
+	c30, c31, c32, c33 := c[12], c[13], c[14], c[15]
+	for len(a) >= gemmMR {
 		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
 		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+		a, b = a[gemmMR:], b[gemmNR:]
 		c00 += a0 * b0
 		c01 += a0 * b1
 		c02 += a0 * b2
@@ -228,19 +267,11 @@ func gemmMicro(od, pa, pb, bd, rd []float32, w ConvWorkload, grp, coutPerG, k, n
 		c32 += a3 * b2
 		c33 += a3 * b3
 	}
-
-	mv := coutPerG - i0 // valid rows in this tile
-	nv := nCols - j0    // valid cols in this tile
-	act := w.FusedActivation
-	writeGemmRow(od, rd, outBase+(i0+0)*nCols+j0, nv, act, postAct, c00, c01, c02, c03)
-	if mv > 1 {
-		writeGemmRow(od, rd, outBase+(i0+1)*nCols+j0, nv, act, postAct, c10, c11, c12, c13)
-	}
-	if mv > 2 {
-		writeGemmRow(od, rd, outBase+(i0+2)*nCols+j0, nv, act, postAct, c20, c21, c22, c23)
-	}
-	if mv > 3 {
-		writeGemmRow(od, rd, outBase+(i0+3)*nCols+j0, nv, act, postAct, c30, c31, c32, c33)
+	*c = [gemmMR * gemmNR]float32{
+		c00, c01, c02, c03,
+		c10, c11, c12, c13,
+		c20, c21, c22, c23,
+		c30, c31, c32, c33,
 	}
 }
 

@@ -122,7 +122,7 @@ type Plan struct {
 	peakLive     int // refcount-liveness peak, as the seed executor measured
 	interBytes   int // total intermediate bytes per run (without reuse)
 
-	label atomic.Pointer[string] // telemetry label, see SetLabel
+	rec *planRecord // registry record holding the telemetry label, see SetLabel
 }
 
 // NewPlan validates and compiles the graph into an execution plan.

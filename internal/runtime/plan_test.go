@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"sync"
 	"testing"
 
@@ -275,6 +276,74 @@ func TestSessionZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Session.Run allocated %v times per run, want 0", allocs)
+	}
+}
+
+// The per-request garbage bound of a steady-state serial Session.Run on a
+// SqueezeNet@64 plan. Its GEMM convs and pools keep their per-call and
+// parallel-loop state in pools, so a run allocates close to nothing; the
+// bound leaves room for goroutine bookkeeping that grows with core count.
+const (
+	zooRunMaxAllocs = 110
+	zooRunMaxBytes  = 4 << 10
+)
+
+func squeezeNet64Session(tb testing.TB) (*runtime.Session, map[string]*tensor.Tensor) {
+	tb.Helper()
+	plan, err := runtime.NewPlan(buildZooGraph("SqueezeNet1.0", 64, "fused"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	feed := tensor.New(1, 3, 64, 64)
+	feed.FillRandom(5)
+	feeds := map[string]*tensor.Tensor{"data": feed}
+	s := plan.NewSession()
+	if _, err := s.Run(feeds); err != nil { // warm-up
+		tb.Fatal(err)
+	}
+	return s, feeds
+}
+
+// TestZooSessionRunGarbage guards the per-request garbage of a zoo plan:
+// at most zooRunMaxAllocs allocations and zooRunMaxBytes bytes per Run.
+func TestZooSessionRunGarbage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a random share of Puts, so the garbage is not the production figure")
+	}
+	s, feeds := squeezeNet64Session(t)
+	// MemStats rather than testing.AllocsPerRun, which pins GOMAXPROCS
+	// to 1 and so hides the allocations that only concurrent helpers
+	// cause.
+	const runs = 20
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := s.Run(feeds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	goruntime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("SqueezeNet@64 Session.Run: %.0f allocs, %.0f B per run", allocs, bytes)
+	if allocs > zooRunMaxAllocs {
+		t.Errorf("Session.Run allocated %.0f times per run, want <= %d", allocs, zooRunMaxAllocs)
+	}
+	if bytes > zooRunMaxBytes {
+		t.Errorf("Session.Run allocated %.0f B per run, want <= %d", bytes, zooRunMaxBytes)
+	}
+}
+
+// BenchmarkZooSessionRun is a steady-state serial Session.Run of a
+// SqueezeNet@64 plan; run with -benchmem to see its per-request garbage.
+func BenchmarkZooSessionRun(b *testing.B) {
+	s, feeds := squeezeNet64Session(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Run(feeds); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

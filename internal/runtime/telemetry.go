@@ -1,45 +1,61 @@
 package runtime
 
 import (
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"unigpu/internal/obs"
 )
 
 // Compiled-plan registry behind the /debug/plans endpoint: every NewPlan
-// files its metadata here (bounded; oldest dropped) so a live serving
-// process can be asked what it has compiled. Plans hold no arenas —
-// sessions do — so retaining them is cheap.
+// files a record here (bounded; oldest dropped) so a live serving process
+// can be asked what it has compiled. A record holds the plan's metadata,
+// not the plan: a plan pins its packed conv weights, so keeping the last
+// maxRegisteredPlans plans alive would keep their weights alive too.
 
 const maxRegisteredPlans = 64
 
 var (
 	plansMu  sync.Mutex
-	plansReg []*Plan
+	plansReg []*planRecord
 )
+
+// planRecord is what the registry keeps of one plan: its metadata, taken
+// at NewPlan (plans are immutable apart from their label), and the label,
+// which the plan shares so a later SetLabel shows up.
+type planRecord struct {
+	info  PlanInfo
+	label atomic.Pointer[string]
+}
 
 func init() {
 	obs.RegisterDebug("plans", func() any { return PlanInfos() })
 }
 
 func registerPlan(p *Plan) {
+	p.rec = &planRecord{}
+	p.rec.info = p.Info()
 	plansMu.Lock()
-	plansReg = append(plansReg, p)
-	if len(plansReg) > maxRegisteredPlans {
-		plansReg = plansReg[len(plansReg)-maxRegisteredPlans:]
+	if len(plansReg) == maxRegisteredPlans {
+		copy(plansReg, plansReg[1:])
+		plansReg = plansReg[:len(plansReg)-1]
 	}
+	plansReg = append(plansReg, p.rec)
 	plansMu.Unlock()
 }
 
 // SetLabel names the plan in telemetry (the /debug/plans dump); unigpu
 // sets it to the compiled model's name.
 func (p *Plan) SetLabel(label string) {
-	p.label.Store(&label)
+	p.rec.label.Store(&label)
 }
 
 // Label returns the telemetry label ("" until SetLabel).
-func (p *Plan) Label() string {
-	if l := p.label.Load(); l != nil {
+func (p *Plan) Label() string { return p.rec.labelString() }
+
+func (r *planRecord) labelString() string {
+	if l := r.label.Load(); l != nil {
 		return *l
 	}
 	return ""
@@ -90,12 +106,12 @@ func (p *Plan) Info() PlanInfo {
 // PlanInfos snapshots the registered plans, oldest first.
 func PlanInfos() []PlanInfo {
 	plansMu.Lock()
-	ps := make([]*Plan, len(plansReg))
-	copy(ps, plansReg)
-	plansMu.Unlock()
-	out := make([]PlanInfo, len(ps))
-	for i, p := range ps {
-		out[i] = p.Info()
+	defer plansMu.Unlock()
+	out := make([]PlanInfo, len(plansReg))
+	for i, r := range plansReg {
+		out[i] = r.info
+		out[i].Label = r.labelString()
+		out[i].Kernels = maps.Clone(r.info.Kernels)
 	}
 	return out
 }

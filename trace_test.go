@@ -103,12 +103,21 @@ func TestPipelineTraceExport(t *testing.T) {
 	if pass := byName["graph.pass.fold_batch_norm"][0]; parent(pass) != id(gopt) {
 		t.Errorf("fold_batch_norm parent=%s, want graph.optimize=%s", parent(pass), id(gopt))
 	}
+	// Workloads are tuned concurrently, so candidates spans end (and are
+	// exported) in any order: check every layout span against the whole
+	// set of candidates spans, each of which must sit under the plan.
 	plan := byName["tune.conv_plan"][0]
-	if cand := byName["graphtuner.candidates"][0]; parent(cand) != id(plan) {
-		t.Errorf("candidates parent=%s, want tune.conv_plan=%s", parent(cand), id(plan))
+	candidates := map[string]bool{}
+	for _, cand := range byName["graphtuner.candidates"] {
+		candidates[id(cand)] = true
+		if parent(cand) != id(plan) {
+			t.Errorf("candidates span %s parent=%s, want tune.conv_plan=%s", id(cand), parent(cand), id(plan))
+		}
 	}
-	if layout := byName["graphtuner.layout"][0]; parent(layout) != id(byName["graphtuner.candidates"][0]) {
-		t.Errorf("layout parent=%s, want candidates", parent(layout))
+	for _, layout := range byName["graphtuner.layout"] {
+		if !candidates[parent(layout)] {
+			t.Errorf("layout span %s parent=%s, want a graphtuner.candidates span", id(layout), parent(layout))
+		}
 	}
 	exec := byName["runtime.execute"][0]
 	nodes := 0
